@@ -55,21 +55,24 @@ struct GroupAcc {
   bool initialized = false;
 };
 
+/// The accumulator value of an aggregate before any row is folded in.
+int64_t AccIdentity(AggOp op) {
+  switch (op) {
+    case AggOp::kMin:
+      return std::numeric_limits<int64_t>::max();
+    case AggOp::kMax:
+      return std::numeric_limits<int64_t>::min();
+    default:
+      return 0;
+  }
+}
+
 void UpdateAcc(GroupAcc* acc, const GroupBySpec& spec,
                const std::vector<int64_t>& agg_values) {
   if (!acc->initialized) {
-    acc->sum.assign(spec.aggregates.size(), 0);
+    acc->sum.resize(spec.aggregates.size());
     for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-      switch (spec.aggregates[a].op) {
-        case AggOp::kMin:
-          acc->sum[a] = std::numeric_limits<int64_t>::max();
-          break;
-        case AggOp::kMax:
-          acc->sum[a] = std::numeric_limits<int64_t>::min();
-          break;
-        default:
-          acc->sum[a] = 0;
-      }
+      acc->sum[a] = AccIdentity(spec.aggregates[a].op);
     }
     acc->initialized = true;
   }
@@ -181,6 +184,20 @@ std::vector<int> NeededColumns(const GroupBySpec& spec) {
 // HASH-GLOBAL
 // ---------------------------------------------------------------------------
 
+/// Rows carrying the most frequent value of `col` (0 when empty).
+uint64_t MaxKeyFrequency(const DeviceColumn& col) {
+  std::vector<int64_t> keys = col.ToHost();
+  std::sort(keys.begin(), keys.end());
+  uint64_t best = 0;
+  for (size_t i = 0; i < keys.size();) {
+    size_t j = i;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    best = std::max<uint64_t>(best, j - i);
+    i = j;
+  }
+  return best;
+}
+
 template <typename K>
 Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
     vgpu::Device& device, const Table& input, const GroupBySpec& spec) {
@@ -208,32 +225,61 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
   GPUJOIN_ASSIGN_OR_RETURN(
       auto slot_accs,
       vgpu::DeviceBuffer<int64_t>::Allocate(device, table_size * n_acc));
-  std::vector<GroupAcc> accs(table_size);
   std::fill(slot_keys.data(), slot_keys.data() + table_size, prim::kEmptySlot);
 
-  const std::vector<int> needed = NeededColumns(spec);
-  std::vector<int64_t> agg_values(spec.aggregates.size(), 0);
-  // Updates to the SAME group's accumulators serialize at the L2 atomic
-  // unit across the whole device; the hottest group is a critical path.
-  uint64_t max_group_freq = 0;
-  {
-    std::unordered_map<int64_t, uint64_t> freq;
-    for (uint64_t i = 0; i < n; ++i) ++freq[input.column(0).Get(i)];
-    for (const auto& [k, c] : freq) max_group_freq = std::max(max_group_freq, c);
+  // Functional accumulators, flat and pre-set to each aggregate's identity:
+  // slot h's row count is counts[h], its aggregate a is sums[h * n_aggs + a].
+  const size_t n_aggs = spec.aggregates.size();
+  std::vector<int64_t> counts(table_size, 0);
+  std::vector<int64_t> sums(table_size * n_aggs);
+  for (size_t a = 0; a < n_aggs; ++a) {
+    const int64_t identity = AccIdentity(spec.aggregates[a].op);
+    for (uint64_t h = 0; h < table_size; ++h) sums[h * n_aggs + a] = identity;
   }
+  // Each aggregate's input column, resolved to its typed storage once.
+  struct AggInput {
+    AggOp op;
+    const int32_t* i32 = nullptr;
+    const int64_t* i64 = nullptr;
+  };
+  std::vector<AggInput> agg_inputs;
+  for (const AggSpec& as : spec.aggregates) {
+    AggInput in{as.op};
+    if (as.op != AggOp::kCount) {
+      const DeviceColumn& col = input.column(as.column);
+      if (col.type() == DataType::kInt32) {
+        in.i32 = col.i32().data();
+      } else {
+        in.i64 = col.i64().data();
+      }
+    }
+    agg_inputs.push_back(in);
+  }
+  const K* keys;
+  if constexpr (sizeof(K) == 4) {
+    keys = input.column(0).i32().data();
+  } else {
+    keys = input.column(0).i64().data();
+  }
+
+  const std::vector<int> needed = NeededColumns(spec);
   {
     // This kernel stays on the sequential simulation path even under
     // GPUJOIN_SIM_THREADS > 1: the global table's linear-probe layout (and
     // therefore every probe's address trace) depends on insertion order, so
     // tuples cannot be re-sharded without changing the simulated stats.
     vgpu::KernelScope ks(device, "gb_hash_global_update");
+    // Updates to the SAME group's accumulators serialize at the L2 atomic
+    // unit across the whole device; the hottest group is a critical path.
     // Warp-aggregated atomics (the compiler combines same-address atomicAdds
     // within a warp): the device-wide serialization chain on the hottest
     // group is one aggregated atomic per warp that touches it.
-    constexpr double kSameAddressAtomicCycles = 4.0;
-    device.SerialStall(static_cast<double>(max_group_freq) /
-                       device.config().warp_size *
-                       static_cast<double>(n_acc) * kSameAddressAtomicCycles);
+    const auto charge_hot_group_stall = [&](uint64_t max_group_freq) {
+      constexpr double kSameAddressAtomicCycles = 4.0;
+      device.SerialStall(static_cast<double>(max_group_freq) /
+                         device.config().warp_size *
+                         static_cast<double>(n_acc) * kSameAddressAtomicCycles);
+    };
     // Key and aggregate-input columns are fully coalesced sequential
     // streams: charge them as bulk runs up front. Only the probe/update
     // traffic depends on the hash of each key and stays per-warp.
@@ -245,15 +291,21 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
     }
     uint64_t probe_addrs[32];
     uint64_t acc_addrs[32];
+    uint64_t slots[32];
     for (uint64_t i = 0; i < n; i += warp) {
       const uint32_t lanes = static_cast<uint32_t>(std::min<uint64_t>(warp, n - i));
+      // Collision-chain steps beyond each lane's first probe, charged once
+      // per warp.
+      uint64_t extra_steps = 0;
       for (uint32_t l = 0; l < lanes; ++l) {
-        const int64_t key = input.column(0).Get(i + l);
+        const int64_t key = static_cast<int64_t>(keys[i + l]);
         uint64_t h = prim::HashToSlot(key, mask);
         uint64_t steps = 1;
         while (slot_keys[h] != prim::kEmptySlot && slot_keys[h] != key) {
           h = (h + 1) & mask;
           if (++steps > table_size) {
+            device.Compute(extra_steps);
+            charge_hot_group_stall(MaxKeyFrequency(input.column(0)));
             return Status::Internal(
                 "hash group-by table overflow (cardinality estimate too low)");
           }
@@ -261,12 +313,39 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
         slot_keys[h] = key;
         probe_addrs[l] = slot_keys.addr(h);
         acc_addrs[l] = slot_accs.addr(h * n_acc);
-        if (steps > 1) device.Compute(steps - 1);
-        for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-          const AggSpec& as = spec.aggregates[a];
-          agg_values[a] = as.op == AggOp::kCount ? 0 : input.column(as.column).Get(i + l);
+        slots[l] = h;
+        ++counts[h];
+        extra_steps += steps - 1;
+      }
+      if (extra_steps > 0) device.Compute(extra_steps);
+      for (size_t a = 0; a < n_aggs; ++a) {
+        const AggInput& in = agg_inputs[a];
+        if (in.op == AggOp::kCount) continue;  // The count cell covers it.
+        int64_t values[32];
+        for (uint32_t l = 0; l < lanes; ++l) {
+          values[l] = in.i32 != nullptr ? in.i32[i + l] : in.i64[i + l];
         }
-        UpdateAcc(&accs[h], spec, agg_values);
+        int64_t* acc = sums.data() + a;
+        switch (in.op) {
+          case AggOp::kSum:
+          case AggOp::kAvg:
+            for (uint32_t l = 0; l < lanes; ++l) acc[slots[l] * n_aggs] += values[l];
+            break;
+          case AggOp::kMin:
+            for (uint32_t l = 0; l < lanes; ++l) {
+              int64_t& cell = acc[slots[l] * n_aggs];
+              cell = std::min(cell, values[l]);
+            }
+            break;
+          case AggOp::kMax:
+            for (uint32_t l = 0; l < lanes; ++l) {
+              int64_t& cell = acc[slots[l] * n_aggs];
+              cell = std::max(cell, values[l]);
+            }
+            break;
+          case AggOp::kCount:
+            break;
+        }
       }
       // Probe loads + one warp-aggregated atomic RMW per aggregate cell.
       device.Load({probe_addrs, lanes}, sizeof(int64_t));
@@ -275,6 +354,9 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
         device.Compute(1);
       }
     }
+    // Every row bumped its group's count, so the largest count is the
+    // hottest group's frequency.
+    charge_hot_group_stall(*std::max_element(counts.begin(), counts.end()));
   }
 
   // Compact: scan the table, gather live slots.
@@ -286,7 +368,11 @@ Result<std::vector<std::pair<int64_t, GroupAcc>>> HashGlobalAggregate(
     device.LoadSeq(slot_accs.addr(), table_size * n_acc, sizeof(int64_t));
     for (uint64_t h = 0; h < table_size; ++h) {
       if (slot_keys[h] != prim::kEmptySlot) {
-        groups.emplace_back(slot_keys[h], std::move(accs[h]));
+        GroupAcc acc;
+        acc.count = counts[h];
+        acc.sum.assign(sums.begin() + h * n_aggs, sums.begin() + (h + 1) * n_aggs);
+        acc.initialized = true;
+        groups.emplace_back(slot_keys[h], std::move(acc));
       }
     }
     device.Compute(bit_util::CeilDiv(table_size, warp));

@@ -200,24 +200,27 @@ Result<MatchResult<K>> HashJoinGlobal(vgpu::Device& device,
     device.LoadSeq(r_keys.addr(), nr, sizeof(K));
     uint64_t load_addrs[32];
     uint64_t store_addrs[32];
+    const K* keys = r_keys.data();
+    int64_t* slots = table_keys.data();
+    RowId* positions = table_pos.data();
     for (uint64_t i = 0; i < nr; i += warp) {
       const uint32_t lanes = static_cast<uint32_t>(std::min<uint64_t>(warp, nr - i));
+      // Collision chain steps beyond each lane's first probe: extra probes,
+      // charged as additional warp instructions once per warp.
+      uint64_t extra_steps = 0;
       for (uint32_t l = 0; l < lanes; ++l) {
         const uint64_t idx = i + l;
-        uint64_t h = HashToSlot(static_cast<int64_t>(r_keys[idx]), mask);
-        uint64_t steps = 1;
-        while (table_keys[h] != kEmptySlot) {
-          h = (h + 1) & mask;
-          ++steps;
-        }
-        table_keys[h] = static_cast<int64_t>(r_keys[idx]);
-        table_pos[h] = static_cast<RowId>(idx);
+        const int64_t key = static_cast<int64_t>(keys[idx]);
+        uint64_t h = HashToSlot(key, mask);
+        const uint64_t h0 = h;
+        while (slots[h] != kEmptySlot) h = (h + 1) & mask;
+        slots[h] = key;
+        positions[h] = static_cast<RowId>(idx);
         load_addrs[l] = table_keys.addr(h);
-        store_addrs[l] = table_keys.addr(h);
-        // Collision chain steps beyond the first: extra probes, charged as
-        // additional warp accesses (approximately batched).
-        if (steps > 1) device.Compute(steps - 1);
+        store_addrs[l] = load_addrs[l];
+        extra_steps += (h - h0) & mask;  // Probe distance.
       }
+      if (extra_steps > 0) device.Compute(extra_steps);
       device.Load({load_addrs, lanes}, sizeof(int64_t));
       device.Store({store_addrs, lanes}, sizeof(int64_t) + sizeof(RowId));
     }

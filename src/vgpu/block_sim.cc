@@ -24,15 +24,43 @@ int ShardDramRowBuffers(const DeviceConfig& config) {
   return groups * assoc;
 }
 
+void LaneCounter::Begin(size_t max_keys) {
+  // Load factor <= 1/2 keeps probe chains short.
+  const size_t want = bit_util::NextPowerOfTwo(std::max<size_t>(2 * max_keys, 64));
+  if (stamps_.size() < want) {
+    keys_.assign(want, 0);
+    stamps_.assign(want, 0);
+    counts_.assign(want, 0);
+    stamp_ = 0;
+    mask_ = want - 1;
+    shift_ = 64 - bit_util::Log2Floor(want);
+  }
+  if (++stamp_ == 0) {  // Stamp wraparound: forget every old stamp.
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    stamp_ = 1;
+  }
+}
+
 MemEngine::MemEngine(const DeviceConfig& config, uint64_t l2_bytes_override,
                      int dram_row_buffers_override)
-    : config_(&config), l2_(config, l2_bytes_override) {
+    : config_(&config),
+      warp_size_(static_cast<uint32_t>(config.warp_size)),
+      sector_shift_(bit_util::Log2Floor(config.sector_bytes)),
+      line_shift_(bit_util::Log2Floor(config.cacheline_bytes) - sector_shift_),
+      row_shift_(bit_util::Log2Floor(
+                     static_cast<uint64_t>(config.dram_row_bytes)) -
+                 sector_shift_),
+      l2_(config, l2_bytes_override) {
+  assert(line_shift_ >= 0 && row_shift_ >= 0);
   const int buffers =
       dram_row_buffers_override > 0
           ? dram_row_buffers_override
           : std::max(config.dram_row_assoc, config.dram_row_buffers);
   dram_open_rows_.assign(buffers, ~uint64_t{0});
   dram_row_lru_.assign(buffers, 0);
+  row_groups_ = static_cast<uint64_t>(buffers / config.dram_row_assoc);
+  row_group_mask_ =
+      std::has_single_bit(row_groups_) && row_groups_ > 1 ? row_groups_ - 1 : 0;
 }
 
 void MemEngine::ResetMemoryState() {
@@ -42,20 +70,35 @@ void MemEngine::ResetMemoryState() {
   dram_row_clock_ = 0;
 }
 
-std::vector<uint64_t> MemEngine::OpenDramRowsByLru() const {
-  std::vector<std::pair<uint32_t, uint64_t>> stamped;
+void MemEngine::ResetMemoryStateForTesting(uint32_t clock) {
+  ResetMemoryState();
+  l2_.ResetClockForTesting(clock);
+  dram_row_clock_ = clock;
+}
+
+void MemEngine::OpenRowSlotsByLru(std::vector<uint64_t>* keys) const {
+  keys->clear();
   for (size_t i = 0; i < dram_open_rows_.size(); ++i) {
     if (dram_open_rows_[i] != ~uint64_t{0}) {
-      stamped.emplace_back(dram_row_lru_[i], dram_open_rows_[i]);
+      keys->push_back(uint64_t{dram_row_lru_[i]} << 32 | i);
     }
   }
   // Stamps are distinct values of the monotone row clock, so this order is
   // total and deterministic.
-  std::sort(stamped.begin(), stamped.end());
-  std::vector<uint64_t> out;
-  out.reserve(stamped.size());
-  for (const auto& [stamp, row] : stamped) out.push_back(row);
-  return out;
+  std::sort(keys->begin(), keys->end());
+}
+
+void MemEngine::OpenDramRowsByLru(std::vector<uint64_t>* out) const {
+  OpenRowSlotsByLru(out);
+  for (uint64_t& key : *out) key = dram_open_rows_[key & 0xffffffffu];
+}
+
+void MemEngine::RenormalizeDramRowClock() {
+  std::vector<uint64_t> keys;
+  OpenRowSlotsByLru(&keys);
+  uint32_t stamp = 0;
+  for (uint64_t key : keys) dram_row_lru_[key & 0xffffffffu] = ++stamp;
+  dram_row_clock_ = stamp;
 }
 
 void MemEngine::TouchDramRow(uint64_t row, uint64_t multiplicity,
@@ -72,35 +115,40 @@ void MemEngine::TouchDramRow(uint64_t row, uint64_t multiplicity,
   mix *= 0xc4ceb9fe1a85ec53ull;
   mix ^= mix >> 33;
   const int assoc = config_->dram_row_assoc;
-  const uint64_t n_rows = dram_open_rows_.size();
-  const uint64_t group = (mix % (n_rows / assoc)) * assoc;
+  const uint64_t group =
+      (row_group_mask_ != 0 ? mix & row_group_mask_ : mix % row_groups_) *
+      assoc;
   // `multiplicity` consecutive miss sectors in the same row: the first
   // access decides hit/miss, the rest only refresh the LRU stamp — so the
   // batched form advances the clock once by the full multiplicity and
   // stamps the final value (identical end state to per-sector operations).
+  if (dram_row_clock_ >= L2Cache::kClockHighWater) RenormalizeDramRowClock();
   dram_row_clock_ += static_cast<uint32_t>(multiplicity);
+  // One pass finds the open row or the LRU victim (the first way holding
+  // the smallest stamp; never-opened ways hold 0).
+  uint64_t* rows = &dram_open_rows_[group];
+  uint32_t* lru = &dram_row_lru_[group];
+  int victim = 0;
+  uint32_t victim_lru = lru[0];
   for (int w = 0; w < assoc; ++w) {
-    if (dram_open_rows_[group + w] == row) {
-      dram_row_lru_[group + w] = dram_row_clock_;
+    if (rows[w] == row) {
+      lru[w] = dram_row_clock_;
       return;
     }
-  }
-  int victim = 0;
-  uint32_t victim_lru = ~uint32_t{0};
-  for (int w = 0; w < assoc; ++w) {
-    if (dram_row_lru_[group + w] < victim_lru) {
-      victim_lru = dram_row_lru_[group + w];
+    if (lru[w] < victim_lru) {
+      victim_lru = lru[w];
       victim = w;
     }
   }
-  dram_open_rows_[group + victim] = row;
-  dram_row_lru_[group + victim] = dram_row_clock_;
+  rows[victim] = row;
+  lru[victim] = dram_row_clock_;
   if (count_miss) ++stats.dram_row_misses;
 }
 
 void MemEngine::AccessWarp(std::span<const uint64_t> lane_addrs,
                            uint32_t bytes_per_lane, bool is_store) {
   if (lane_addrs.empty()) return;
+  assert(bytes_per_lane > 0);
   ++stats.warp_instructions;
   ++stats.mem_instructions;
   const uint64_t bytes =
@@ -111,53 +159,56 @@ void MemEngine::AccessWarp(std::span<const uint64_t> lane_addrs,
     stats.bytes_read += bytes;
   }
 
-  // Collect the distinct sectors and 128B lines this warp touches. A lane
-  // spanning [a, a + bytes_per_lane) touches at most bytes_per_lane/32 + 2
-  // sectors, so the scratch capacity below is a true upper bound — wide
-  // lanes (or wide warps) are never silently dropped.
+  // Collect the distinct sectors this warp touches, in first-touch order.
+  // A lane spanning [a, a + bytes_per_lane) touches at most
+  // bytes_per_lane/32 + 2 sectors, so the scratch capacity below is a true
+  // upper bound — wide lanes (or wide warps) are never silently dropped.
   const size_t cap =
       lane_addrs.size() *
       (static_cast<size_t>(bytes_per_lane) / config_->sector_bytes + 2);
-  if (scratch_sectors_.size() < cap) {
-    scratch_sectors_.resize(cap);
-    scratch_lines_.resize(cap);
-  }
+  if (scratch_sectors_.size() < cap) scratch_sectors_.resize(cap);
   uint64_t* sectors = scratch_sectors_.data();
   size_t n_sectors = 0;
-  uint64_t* lines = scratch_lines_.data();
-  size_t n_lines = 0;
-  const int sector_shift = bit_util::Log2Floor(config_->sector_bytes);
-  const int line_shift = bit_util::Log2Floor(config_->cacheline_bytes);
+  // While the sectors seen so far are strictly ascending, a new sector is
+  // a repeat iff it equals the last one, so no lookup is needed. The first
+  // out-of-order sector indexes the prefix into the lane counter, which
+  // decides every later sector.
+  bool ascending = true;
   for (uint64_t addr : lane_addrs) {
-    const uint64_t first_sector = addr >> sector_shift;
-    const uint64_t last_sector = (addr + bytes_per_lane - 1) >> sector_shift;
+    const uint64_t first_sector = addr >> sector_shift_;
+    const uint64_t last_sector = (addr + bytes_per_lane - 1) >> sector_shift_;
     for (uint64_t s = first_sector; s <= last_sector; ++s) {
-      bool seen = false;
-      for (size_t i = n_sectors; i-- > 0;) {
-        if (sectors[i] == s) {
-          seen = true;
-          break;
+      if (n_sectors > 0 && s == sectors[n_sectors - 1]) continue;
+      if (ascending) {
+        if (n_sectors == 0 || s > sectors[n_sectors - 1]) {
+          sectors[n_sectors++] = s;
+          continue;
         }
+        ascending = false;
+        lane_counter_.Begin(cap);
+        for (size_t i = 0; i < n_sectors; ++i) lane_counter_.Add(sectors[i]);
       }
-      if (!seen) sectors[n_sectors++] = s;
-    }
-    const uint64_t first_line = addr >> line_shift;
-    const uint64_t last_line = (addr + bytes_per_lane - 1) >> line_shift;
-    for (uint64_t l = first_line; l <= last_line; ++l) {
-      bool seen = false;
-      for (size_t i = n_lines; i-- > 0;) {
-        if (lines[i] == l) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) lines[n_lines++] = l;
+      if (lane_counter_.Add(s) == 1) sectors[n_sectors++] = s;
     }
   }
-  stats.transactions += static_cast<uint64_t>(n_lines);
+  // Every sector lies inside one 128B line, so the lines a warp touches
+  // are exactly the lines of its distinct sectors.
+  uint64_t n_lines = 0;
+  if (ascending) {
+    uint64_t prev_line = ~uint64_t{0};
+    for (size_t i = 0; i < n_sectors; ++i) {
+      const uint64_t line = sectors[i] >> line_shift_;
+      n_lines += line != prev_line;
+      prev_line = line;
+    }
+  } else {
+    lane_counter_.Begin(n_sectors);
+    for (size_t i = 0; i < n_sectors; ++i) {
+      n_lines += lane_counter_.Add(sectors[i] >> line_shift_) == 1;
+    }
+  }
+  stats.transactions += n_lines;
   stats.sectors += static_cast<uint64_t>(n_sectors);
-  const int row_shift =
-      bit_util::Log2Floor(static_cast<uint64_t>(config_->dram_row_bytes));
   for (size_t i = 0; i < n_sectors; ++i) {
     if (l2_.Access(sectors[i])) {
       ++stats.l2_hit_sectors;
@@ -166,15 +217,14 @@ void MemEngine::AccessWarp(std::span<const uint64_t> lane_addrs,
       // DRAM row-buffer model: an L2 miss to a row that is not open pays an
       // activation penalty (this is what makes random access slower than
       // streaming even at equal sector counts).
-      const uint64_t byte_addr = sectors[i] << sector_shift;
-      TouchDramRow(byte_addr >> row_shift, 1);
+      TouchDramRow(sectors[i] >> row_shift_, 1);
     }
   }
 }
 
 void MemEngine::AccessRunGeneric(uint64_t base_addr, uint64_t count,
                                  uint32_t elem_bytes, bool is_store) {
-  const uint32_t warp = static_cast<uint32_t>(config_->warp_size);
+  const uint32_t warp = warp_size_;
   if (scratch_addrs_.size() < warp) scratch_addrs_.resize(warp);
   uint64_t* addrs = scratch_addrs_.data();
   for (uint64_t i = 0; i < count; i += warp) {
@@ -196,12 +246,7 @@ void MemEngine::AccessRun(uint64_t base_addr, uint64_t count,
     return;
   }
 
-  const uint32_t warp = static_cast<uint32_t>(config_->warp_size);
-  const int sector_shift = bit_util::Log2Floor(config_->sector_bytes);
-  const int line_shift = bit_util::Log2Floor(config_->cacheline_bytes);
-  const int row_shift =
-      bit_util::Log2Floor(static_cast<uint64_t>(config_->dram_row_bytes)) -
-      sector_shift;  // Row of a sector id.
+  const uint32_t warp = warp_size_;
 
   // Closed-form per-warp instruction/byte accounting: the stream is one
   // warp-level memory instruction per warp_size elements.
@@ -229,9 +274,10 @@ void MemEngine::AccessRun(uint64_t base_addr, uint64_t count,
     const uint64_t lanes = std::min<uint64_t>(warp, remaining);
     const uint64_t warp_bytes = lanes * elem_bytes;
     const uint64_t last_byte = addr + warp_bytes - 1;
-    stats.transactions += (last_byte >> line_shift) - (addr >> line_shift) + 1;
-    uint64_t sector = addr >> sector_shift;
-    const uint64_t sector_end = last_byte >> sector_shift;
+    uint64_t sector = addr >> sector_shift_;
+    const uint64_t sector_end = last_byte >> sector_shift_;
+    stats.transactions +=
+        (sector_end >> line_shift_) - (sector >> line_shift_) + 1;
     stats.sectors += sector_end - sector + 1;
     while (sector <= sector_end) {
       const uint32_t chunk = static_cast<uint32_t>(
@@ -242,7 +288,7 @@ void MemEngine::AccessRun(uint64_t base_addr, uint64_t count,
       while (miss_mask != 0) {
         const int bit = std::countr_zero(miss_mask);
         miss_mask &= miss_mask - 1;
-        const uint64_t row = (sector + static_cast<uint64_t>(bit)) >> row_shift;
+        const uint64_t row = (sector + static_cast<uint64_t>(bit)) >> row_shift_;
         if (row == pending_row) {
           ++pending_misses;
         } else {
@@ -264,23 +310,29 @@ void MemEngine::SharedAccess(uint64_t count) {
   stats.warp_instructions += count;
 }
 
+template <typename T>
+uint32_t MemEngine::MaxMultiplicity(std::span<const T> lanes) {
+  // Strictly ascending lanes (the common conflict-free case) are distinct.
+  size_t i = 1;
+  while (i < lanes.size() && lanes[i] > lanes[i - 1]) ++i;
+  if (i >= lanes.size()) return 1;
+  lane_counter_.Begin(lanes.size());
+  uint32_t max_mult = 1;
+  for (const T lane : lanes) {
+    max_mult = std::max(max_mult, lane_counter_.Add(lane));
+  }
+  return max_mult;
+}
+
 void MemEngine::SharedAtomic(std::span<const uint32_t> lane_slots) {
   if (lane_slots.empty()) return;
   ++stats.warp_instructions;
   ++stats.shared_accesses;
   // Lanes targeting the same slot serialize; the warp pays for the most
   // contended slot, and each serialized retry is a multi-cycle shared-memory
-  // round trip (this is the §5.2.4 bucket-chain skew collapse). Count
-  // multiplicities with a small quadratic scan (<= 32 lanes).
+  // round trip (this is the §5.2.4 bucket-chain skew collapse).
   constexpr uint64_t kSharedAtomicSerializeCost = 4;
-  uint32_t max_mult = 1;
-  for (size_t i = 0; i < lane_slots.size(); ++i) {
-    uint32_t mult = 1;
-    for (size_t j = i + 1; j < lane_slots.size(); ++j) {
-      if (lane_slots[j] == lane_slots[i]) ++mult;
-    }
-    max_mult = std::max(max_mult, mult);
-  }
+  const uint32_t max_mult = MaxMultiplicity(lane_slots);
   stats.atomic_serializations +=
       static_cast<uint64_t>(max_mult - 1) * kSharedAtomicSerializeCost;
 }
@@ -293,14 +345,7 @@ void MemEngine::GlobalAtomic(std::span<const uint64_t> lane_addrs,
   // Serialization: lanes hitting the same address queue at the L2 atomic
   // unit; a DRAM-latency-scale round trip per conflicting lane.
   constexpr uint64_t kGlobalAtomicSerializeCost = 8;
-  uint32_t max_mult = 1;
-  for (size_t i = 0; i < lane_addrs.size(); ++i) {
-    uint32_t mult = 1;
-    for (size_t j = i + 1; j < lane_addrs.size(); ++j) {
-      if (lane_addrs[j] == lane_addrs[i]) ++mult;
-    }
-    max_mult = std::max(max_mult, mult);
-  }
+  const uint32_t max_mult = MaxMultiplicity(lane_addrs);
   stats.atomic_serializations +=
       static_cast<uint64_t>(max_mult - 1) * kGlobalAtomicSerializeCost;
 }

@@ -47,6 +47,38 @@ uint64_t ShardL2Bytes(const DeviceConfig& config);
 /// buffers, rounded up to whole associativity groups.
 int ShardDramRowBuffers(const DeviceConfig& config);
 
+/// Open-addressing multiset of 64-bit keys sized for one warp's lanes: the
+/// linear-time dedup and multiplicity counter behind MemEngine's per-warp
+/// accounting. Begin() empties it in O(1) by advancing a stamp (a slot is
+/// live only while it carries the current stamp).
+class LaneCounter {
+ public:
+  /// Starts a fresh, empty counter able to hold `max_keys` distinct keys.
+  void Begin(size_t max_keys);
+  /// Adds one occurrence of `key`; returns its count since Begin().
+  uint32_t Add(uint64_t key) {
+    uint64_t h = (key * 0x9e3779b97f4a7c15ull) >> shift_;
+    for (;;) {
+      if (stamps_[h] != stamp_) {
+        stamps_[h] = stamp_;
+        keys_[h] = key;
+        counts_[h] = 1;
+        return 1;
+      }
+      if (keys_[h] == key) return ++counts_[h];
+      h = (h + 1) & mask_;
+    }
+  }
+
+ private:
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> stamps_;
+  std::vector<uint32_t> counts_;
+  uint32_t stamp_ = 0;
+  uint64_t mask_ = 0;
+  int shift_ = 64;
+};
+
 /// Memory-accounting engine: L2 + DRAM-row models and the stats they feed.
 /// Not thread-safe; the parallel path gives each worker its own engine.
 class MemEngine {
@@ -66,8 +98,11 @@ class MemEngine {
 
   // --- Access accounting (mirrors the Device hooks) ---
 
-  /// One warp-level access: dedups the touched sectors/lines and classifies
-  /// each sector through the L2 + row models.
+  /// One warp-level access: dedups the touched sectors in first-touch
+  /// order, counts the distinct 128B lines among them, and classifies each
+  /// sector through the L2 + row models. Linear in the sectors touched: a
+  /// strictly ascending sector stream (the coalesced case) needs no lookup,
+  /// anything else goes through a per-call LaneCounter.
   void AccessWarp(std::span<const uint64_t> lane_addrs, uint32_t bytes_per_lane,
                   bool is_store);
   /// Batched fully-coalesced sequential run (see Device::AccessRun).
@@ -87,16 +122,20 @@ class MemEngine {
   /// Cold state: L2 and row tracker both invalidated (per-block reset, and
   /// Device::Reset). O(1) on the L2 side via the epoch clear.
   void ResetMemoryState();
+  /// Cold state with both LRU clocks (L2 and DRAM row) set to `clock`
+  /// (testing hook for the clock renormalization at
+  /// L2Cache::kClockHighWater).
+  void ResetMemoryStateForTesting(uint32_t clock);
 
   // --- Deterministic state extraction / replay (the shard-merge step) ---
 
-  /// Resident L2 sectors, least recently used first (deterministic: LRU
-  /// stamps are unique).
-  std::vector<uint64_t> ResidentL2SectorsByLru() const {
-    return l2_.ResidentSectorsByLru();
+  /// Fills `out` with the resident L2 sectors, least recently used first
+  /// (deterministic: LRU stamps are unique). Reuses `out`'s capacity.
+  void ResidentL2SectorsByLru(std::vector<uint64_t>* out) const {
+    l2_.ResidentSectorsByLru(out);
   }
-  /// Open DRAM rows, least recently used first.
-  std::vector<uint64_t> OpenDramRowsByLru() const;
+  /// Fills `out` with the open DRAM rows, least recently used first.
+  void OpenDramRowsByLru(std::vector<uint64_t>* out) const;
   /// Silently installs a sector (no stats charged) — replaying a shard's
   /// ResidentL2SectorsByLru() reproduces its contents and recency order.
   void InstallL2Sector(uint64_t sector) { l2_.Access(sector); }
@@ -114,8 +153,24 @@ class MemEngine {
   /// sectors mapping to the same DRAM row. `count_miss` is false only for
   /// merge replay, which must not recharge activation penalties.
   void TouchDramRow(uint64_t row, uint64_t multiplicity, bool count_miss = true);
+  /// Fills `keys` with (stamp << 32 | slot) of every open row, least
+  /// recently used first.
+  void OpenRowSlotsByLru(std::vector<uint64_t>* keys) const;
+  /// The row tracker's counterpart of L2Cache's clock renormalization: open
+  /// rows' stamps become 1..k in recency order (never-opened slots keep 0).
+  void RenormalizeDramRowClock();
+  /// Largest number of lanes sharing one value (1 for distinct lanes).
+  template <typename T>
+  uint32_t MaxMultiplicity(std::span<const T> lanes);
 
   const DeviceConfig* config_;
+  // Address-geometry constants, derived once from the config.
+  uint32_t warp_size_;
+  int sector_shift_;         // Byte address -> sector id.
+  int line_shift_;           // Sector id -> 128B line id.
+  int row_shift_;            // Sector id -> DRAM row id.
+  uint64_t row_groups_ = 1;  // Row-tracker associativity groups.
+  uint64_t row_group_mask_ = 0;  // row_groups_ - 1 when a power of two > 1.
   L2Cache l2_;
   std::vector<uint64_t> dram_open_rows_;  // Row tracker tags (set-assoc LRU).
   std::vector<uint32_t> dram_row_lru_;
@@ -124,7 +179,7 @@ class MemEngine {
   // per-warp path never allocates in steady state).
   std::vector<uint64_t> scratch_addrs_;
   std::vector<uint64_t> scratch_sectors_;
-  std::vector<uint64_t> scratch_lines_;
+  LaneCounter lane_counter_;
 };
 
 /// One simulated thread block's execution context: a shard-sized MemEngine

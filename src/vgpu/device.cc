@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <map>
 #include <mutex>
 #include <thread>
 
@@ -35,19 +34,16 @@ double ThreadCpuSeconds() {
 // BlockContext each and dynamically claim block ids in ascending order; the
 // calling thread merges finished blocks strictly in block order. Claiming
 // is window-bounded (a worker may run at most `window_` blocks ahead of the
-// merge frontier) so the buffered per-block outcomes stay O(threads), not
-// O(num_blocks).
+// merge frontier), so block b's outcome lives in ring slot b % (window_+1):
+// the slot's previous block, b - window_ - 1, finished merging before b
+// became claimable. The ring's buffers are reused across blocks and runs.
 class Device::ParallelPool {
  public:
-  struct BlockOutcome {
-    KernelStats stats;
-    std::vector<uint64_t> l2_sectors;  // Resident shard sectors, LRU first.
-    std::vector<uint64_t> dram_rows;   // Open shard rows, LRU first.
-    Status status;
-    double cpu_seconds = 0;
-  };
-
-  ParallelPool(const DeviceConfig& config, int threads) : config_(config) {
+  ParallelPool(const DeviceConfig& config, int threads)
+      : config_(config),
+        window_(4 * static_cast<uint64_t>(threads) + 4),
+        slots_(window_ + 1),
+        slot_ready_(window_ + 1, false) {
     workers_.reserve(threads);
     for (int i = 0; i < threads; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
@@ -80,16 +76,16 @@ class Device::ParallelPool {
     num_blocks_ = num_blocks;
     next_ = 0;
     merged_ = 0;
-    window_ = 4 * workers_.size() + 4;
     job_active_ = true;
     cv_work_.notify_all();
     while (merged_ < num_blocks_) {
-      cv_ready_.wait(lk, [&] { return ready_.count(merged_) > 0; });
-      auto node = ready_.extract(merged_);
+      const size_t slot = merged_ % slots_.size();
+      cv_ready_.wait(lk, [&] { return slot_ready_[slot]; });
+      slot_ready_[slot] = false;
       ++merged_;
       cv_work_.notify_all();  // The claim window advanced.
       lk.unlock();
-      const BlockOutcome& out = node.mapped();
+      const BlockOutcome& out = slots_[slot];
       merge(out);
       cpu_total += out.cpu_seconds;
       if (first_error.ok() && !out.status.ok()) first_error = out.status;
@@ -116,22 +112,22 @@ class Device::ParallelPool {
       const uint64_t block = next_++;
       const Device::BlockFn* fn = fn_;
       const bool fast_path = fast_path_;
+      const size_t slot = block % slots_.size();
       lk.unlock();
-      BlockOutcome out;
+      BlockOutcome& out = slots_[slot];
       const double cpu0 = ThreadCpuSeconds();
-      ctx.BeginBlock(block, fast_path);
-      out.status = (*fn)(block, ctx);
-      out.stats = ctx.engine().stats;
-      out.l2_sectors = ctx.engine().ResidentL2SectorsByLru();
-      out.dram_rows = ctx.engine().OpenDramRowsByLru();
+      RunBlock(*fn, block, fast_path, ctx, &out);
       out.cpu_seconds = ThreadCpuSeconds() - cpu0;
       lk.lock();
-      ready_.emplace(block, std::move(out));
+      slot_ready_[slot] = true;
       cv_ready_.notify_one();
     }
   }
 
   const DeviceConfig& config_;
+  const uint64_t window_;  // Claim bound: next_ < merged_ + window_.
+  std::vector<BlockOutcome> slots_;  // Ring of window_ + 1 outcomes.
+  std::vector<bool> slot_ready_;     // Finished, not yet merged (under mu_).
   std::mutex mu_;
   std::condition_variable cv_work_;   // Workers wait for claimable blocks.
   std::condition_variable cv_ready_;  // The merger waits for block `merged_`.
@@ -142,8 +138,6 @@ class Device::ParallelPool {
   uint64_t num_blocks_ = 0;
   uint64_t next_ = 0;    // Next unclaimed block id.
   uint64_t merged_ = 0;  // Merge frontier: blocks < merged_ are folded in.
-  uint64_t window_ = 0;  // Claim bound: next_ < merged_ + window_.
-  std::map<uint64_t, BlockOutcome> ready_;  // Finished, not yet merged.
   std::vector<std::thread> workers_;
 };
 
@@ -433,36 +427,39 @@ void Device::SerialStall(double cycles) {
   engine_.SerialStall(cycles);
 }
 
-void Device::MergeBlockOutcome(const KernelStats& block_stats,
-                               const std::vector<uint64_t>& l2_sectors,
-                               const std::vector<uint64_t>& dram_rows,
-                               const Status& block_status,
-                               Status* first_error) {
-  engine_.stats.Add(block_stats);
+void Device::RunBlock(const BlockFn& fn, uint64_t block_id, bool fast_path,
+                      BlockContext& ctx, BlockOutcome* out) {
+  ctx.BeginBlock(block_id, fast_path);
+  out->status = fn(block_id, ctx);
+  out->stats = ctx.engine().stats;
+  ctx.engine().ResidentL2SectorsByLru(&out->l2_sectors);
+  ctx.engine().OpenDramRowsByLru(&out->dram_rows);
+}
+
+void Device::MergeBlockOutcome(const BlockOutcome& out) {
+  engine_.stats.Add(out.stats);
   // Replay the shard's resident state into the device models, LRU first, so
   // the post-kernel device state is a deterministic function of the block
   // outcomes alone. Installs are silent: the block already paid for these.
-  for (uint64_t sector : l2_sectors) engine_.InstallL2Sector(sector);
-  for (uint64_t row : dram_rows) engine_.InstallDramRow(row);
-  if (first_error->ok() && !block_status.ok()) *first_error = block_status;
+  for (uint64_t sector : out.l2_sectors) engine_.InstallL2Sector(sector);
+  for (uint64_t row : out.dram_rows) engine_.InstallDramRow(row);
 }
 
 Status Device::ParallelBlocks(uint64_t num_blocks, const BlockFn& fn) {
   assert(in_kernel_ && "ParallelBlocks outside of a kernel");
   if (num_blocks == 0) return Status::OK();
-  Status first_error = Status::OK();
   if (sim_threads_ <= 1) {
     // Inline path: identical per-block loop and merge, on this thread.
     if (seq_ctx_ == nullptr) {
       seq_ctx_ = std::make_unique<BlockContext>(config_);
     }
+    Status first_error = Status::OK();
     for (uint64_t block = 0; block < num_blocks; ++block) {
-      seq_ctx_->BeginBlock(block, engine_.fast_path_enabled);
-      const Status st = fn(block, *seq_ctx_);
-      MergeBlockOutcome(seq_ctx_->engine().stats,
-                        seq_ctx_->engine().ResidentL2SectorsByLru(),
-                        seq_ctx_->engine().OpenDramRowsByLru(), st,
-                        &first_error);
+      RunBlock(fn, block, engine_.fast_path_enabled, *seq_ctx_, &seq_outcome_);
+      MergeBlockOutcome(seq_outcome_);
+      if (first_error.ok() && !seq_outcome_.status.ok()) {
+        first_error = seq_outcome_.status;
+      }
     }
     return first_error;
   }
@@ -471,14 +468,9 @@ Status Device::ParallelBlocks(uint64_t num_blocks, const BlockFn& fn) {
   }
   const auto wall0 = std::chrono::steady_clock::now();
   double cpu_seconds = 0;
-  first_error = pool_->Run(
+  const Status first_error = pool_->Run(
       num_blocks, fn, engine_.fast_path_enabled,
-      [&](const ParallelPool::BlockOutcome& out) {
-        Status sink = Status::OK();  // Run() tracks the first error itself.
-        MergeBlockOutcome(out.stats, out.l2_sectors, out.dram_rows, out.status,
-                          &sink);
-      },
-      &cpu_seconds);
+      [&](const BlockOutcome& out) { MergeBlockOutcome(out); }, &cpu_seconds);
   kernel_parallel_wall_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

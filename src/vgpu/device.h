@@ -337,23 +337,40 @@ class Device {
 
   /// Resident L2 sectors, least recently used first (deterministic).
   std::vector<uint64_t> DebugResidentL2Sectors() const {
-    return engine_.ResidentL2SectorsByLru();
+    std::vector<uint64_t> out;
+    engine_.ResidentL2SectorsByLru(&out);
+    return out;
   }
   /// Open DRAM rows, least recently used first (deterministic).
   std::vector<uint64_t> DebugOpenDramRows() const {
-    return engine_.OpenDramRowsByLru();
+    std::vector<uint64_t> out;
+    engine_.OpenDramRowsByLru(&out);
+    return out;
   }
 
  private:
   class ParallelPool;
 
+  /// One finished block, as the merge step consumes it. Both execution
+  /// paths recycle these (vectors keep their capacity), so steady-state
+  /// block simulation does not allocate.
+  struct BlockOutcome {
+    KernelStats stats;
+    std::vector<uint64_t> l2_sectors;  // Resident shard sectors, LRU first.
+    std::vector<uint64_t> dram_rows;   // Open shard rows, LRU first.
+    Status status;
+    double cpu_seconds = 0;  // Worker CPU time (parallel path only).
+  };
+
+  /// Runs block `block_id` of `fn` on `ctx` and snapshots its outcome into
+  /// `*out`.
+  static void RunBlock(const BlockFn& fn, uint64_t block_id, bool fast_path,
+                       BlockContext& ctx, BlockOutcome* out);
+
   /// Folds one finished block into the device engine: stats added, shard
   /// residents replayed LRU-first (silent installs — no stats). Called in
   /// strictly ascending block order by both execution paths.
-  void MergeBlockOutcome(const KernelStats& block_stats,
-                         const std::vector<uint64_t>& l2_sectors,
-                         const std::vector<uint64_t>& dram_rows,
-                         const Status& block_status, Status* first_error);
+  void MergeBlockOutcome(const BlockOutcome& out);
 
   /// The tag AllocateRaw records: active AllocTagScope frames joined with
   /// '/', then the explicit site tag (or "untagged").
@@ -400,6 +417,7 @@ class Device {
   int sim_threads_ = 1;
   std::unique_ptr<ParallelPool> pool_;     // Lazily created when threads > 1.
   std::unique_ptr<BlockContext> seq_ctx_;  // Reused by the inline path.
+  BlockOutcome seq_outcome_;               // Reused by the inline path.
 };
 
 /// RAII allocation-tag frame: every allocation made while the scope is

@@ -18,25 +18,6 @@
 namespace gpujoin::vgpu {
 namespace {
 
-#define EXPECT_STATS_EQ(a, b)                                   \
-  do {                                                          \
-    EXPECT_EQ((a).warp_instructions, (b).warp_instructions);    \
-    EXPECT_EQ((a).mem_instructions, (b).mem_instructions);      \
-    EXPECT_EQ((a).transactions, (b).transactions);              \
-    EXPECT_EQ((a).sectors, (b).sectors);                        \
-    EXPECT_EQ((a).l2_hit_sectors, (b).l2_hit_sectors);          \
-    EXPECT_EQ((a).dram_sectors, (b).dram_sectors);              \
-    EXPECT_EQ((a).dram_row_misses, (b).dram_row_misses);        \
-    EXPECT_EQ((a).bytes_read, (b).bytes_read);                  \
-    EXPECT_EQ((a).bytes_written, (b).bytes_written);            \
-    EXPECT_EQ((a).shared_accesses, (b).shared_accesses);        \
-    EXPECT_EQ((a).atomic_serializations, (b).atomic_serializations); \
-    EXPECT_DOUBLE_EQ((a).serial_cycles, (b).serial_cycles);     \
-    EXPECT_DOUBLE_EQ((a).compute_cycles, (b).compute_cycles);   \
-    EXPECT_DOUBLE_EQ((a).memory_cycles, (b).memory_cycles);     \
-    EXPECT_DOUBLE_EQ((a).cycles, (b).cycles);                   \
-  } while (0)
-
 // One randomized operation, replayable onto any device.
 struct Op {
   enum Kind { kLoadSeq, kStoreSeq, kWarpLoad, kWarpStore, kAtomic } kind;

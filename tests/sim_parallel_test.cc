@@ -41,25 +41,6 @@ using workload::GroupByWorkloadSpec;
 using workload::JoinWorkload;
 using workload::JoinWorkloadSpec;
 
-#define EXPECT_STATS_EQ(a, b)                                        \
-  do {                                                               \
-    EXPECT_EQ((a).warp_instructions, (b).warp_instructions);         \
-    EXPECT_EQ((a).mem_instructions, (b).mem_instructions);           \
-    EXPECT_EQ((a).transactions, (b).transactions);                   \
-    EXPECT_EQ((a).sectors, (b).sectors);                             \
-    EXPECT_EQ((a).l2_hit_sectors, (b).l2_hit_sectors);               \
-    EXPECT_EQ((a).dram_sectors, (b).dram_sectors);                   \
-    EXPECT_EQ((a).dram_row_misses, (b).dram_row_misses);             \
-    EXPECT_EQ((a).bytes_read, (b).bytes_read);                       \
-    EXPECT_EQ((a).bytes_written, (b).bytes_written);                 \
-    EXPECT_EQ((a).shared_accesses, (b).shared_accesses);             \
-    EXPECT_EQ((a).atomic_serializations, (b).atomic_serializations); \
-    EXPECT_DOUBLE_EQ((a).serial_cycles, (b).serial_cycles);          \
-    EXPECT_DOUBLE_EQ((a).compute_cycles, (b).compute_cycles);        \
-    EXPECT_DOUBLE_EQ((a).memory_cycles, (b).memory_cycles);          \
-    EXPECT_DOUBLE_EQ((a).cycles, (b).cycles);                        \
-  } while (0)
-
 const int kThreadCounts[] = {2, 7, 16};
 
 /// FNV-1a over every cell of a table: proves the parallel path produces the
