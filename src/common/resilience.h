@@ -1,19 +1,29 @@
-// Degradation log and retry policy shared by the resilient query-layer
-// wrappers: every time a wrapper catches a resource failure and moves down
-// its policy ladder (retry, re-plan, out-of-core fallback), it records one
-// step so callers can see exactly how a query was salvaged, and consults one
-// BackoffPolicy for how long to wait (in simulated cycles) before the next
-// attempt.
+// Degradation log, retry policy and the one degradation-ladder driver
+// shared by the resilient query-layer wrappers. Every time a wrapper catches
+// a resource failure and moves down its policy ladder (retry, re-plan,
+// out-of-core fallback), it records one step so callers can see exactly how
+// a query was salvaged, and consults one BackoffPolicy for how long to wait
+// (in simulated cycles) before the next attempt. RunDegradationLadder owns
+// those mechanics; RunJoinResilient and RunGroupByResilient supply only a
+// LadderPolicy: how to run the current rung and which rung comes next.
 
 #ifndef GPUJOIN_COMMON_RESILIENCE_H_
 #define GPUJOIN_COMMON_RESILIENCE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace gpujoin {
+
+namespace vgpu {
+class Device;
+}  // namespace vgpu
 
 /// One rung taken on a degradation ladder.
 struct DegradationStep {
@@ -86,6 +96,66 @@ struct BackoffPolicy {
     return delay;
   }
 };
+
+/// The rung a ladder policy moves to after a resource failure.
+struct LadderRung {
+  DegradationStep step;
+  /// Record `step` again, after its backoff delay, before every transient
+  /// retry of this rung as well as on entry (the join's out-of-core rung
+  /// announces each fragment-pair stream it starts).
+  bool announce_each_attempt = false;
+};
+
+/// The policy half of a degradation ladder: what to run and where to go
+/// next. RunDegradationLadder supplies everything else.
+struct LadderPolicy {
+  /// Wrapper name that prefixes the driver's messages ("RunJoinResilient").
+  std::string fn;
+  /// The "op" metric label ("join", "groupby").
+  std::string op;
+  /// Requested algorithm, named in the final error and in the enclosing
+  /// "query" trace span, "resilient_<op>:<algo>".
+  std::string algo;
+  /// Total attempt budget across the whole ladder (first try included).
+  int max_attempts = 4;
+  BackoffPolicy backoff;
+  /// Group-by waits out the backoff delay and checks the lifecycle before
+  /// it asks for the next rung, so a failure on its last rung still pays
+  /// one delay. The join asks first and stops at once when no rung is left.
+  bool backoff_before_escalate = false;
+  /// Name of the "attempt" trace span around attempt `attempt` (1-based).
+  std::function<std::string(int attempt)> attempt_span;
+  /// Runs the current rung once, keeping its result on success.
+  std::function<Status()> attempt;
+  /// Called after attempt `attempt` failed with resource failure `error`
+  /// and budget is left: moves the policy to its next rung and returns
+  /// that rung, or nullopt when no rung is left.
+  std::function<std::optional<LadderRung>(const Status& error, int attempt)>
+      escalate;
+};
+
+struct LadderOutcome {
+  /// Attempts consumed (1 = first try succeeded, no degradation).
+  int attempts = 0;
+  /// One entry per ladder step taken; empty on a clean first-attempt run.
+  std::vector<DegradationStep> degradation;
+};
+
+/// Walks `policy`'s ladder on `device` until an attempt succeeds:
+///   * a transient failure (kUnavailable) must leave the device at its
+///     entry watermark; the driver clears the fault, waits a seeded backoff
+///     and retries the same rung, until backoff.max_attempts transient
+///     retries are spent (then the fault propagates, still kUnavailable);
+///   * a resource failure (Status::IsResourceFailure) must also roll back
+///     cleanly; the driver then escalates: backoff delay, lifecycle check,
+///     and one recorded step (log entry, `degradation:<action>` trace
+///     instant, resilient_degradations_total count);
+///   * any other error, or a leak left by a failed attempt (Internal),
+///     propagates at once;
+///   * when no rung or budget is left, the result is ResourceExhausted
+///     naming the last error and the degradation ladder taken.
+Result<LadderOutcome> RunDegradationLadder(vgpu::Device& device,
+                                           const LadderPolicy& policy);
 
 }  // namespace gpujoin
 

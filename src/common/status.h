@@ -102,6 +102,14 @@ class Status {
     return code_ == StatusCode::kTenantOverQuota;
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
+  /// True for the failures a caller may absorb by degrading (more radix
+  /// bits, another algorithm, out-of-core, the other backend): a capacity
+  /// or injected allocation fault, reported as ResourceExhausted or
+  /// OutOfMemory.
+  bool IsResourceFailure() const {
+    return code_ == StatusCode::kResourceExhausted ||
+           code_ == StatusCode::kOutOfMemory;
+  }
   /// True for the lifecycle-layer terminal statuses: the query was stopped
   /// on purpose (cancel request or deadline), not by a fault. A yield is
   /// deliberately NOT a lifecycle stop — it is transient scheduler state,

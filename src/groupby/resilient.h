@@ -1,15 +1,18 @@
 // Resilient grouped aggregation: RunGroupByResilient wraps RunGroupBy with a
-// degradation ladder mirroring the join side (see join/resilient.h):
+// degradation ladder. This file holds only the ladder's policy; the shared
+// driver in common/resilience.h owns the mechanics (transient retries,
+// rollback leak checks, backoff, lifecycle seams, step recording, and the
+// final structured error). The rungs:
 //
 //   1. Attempt with the requested strategy and options.
 //   2. HASH-GLOBAL falls back to HASH-PARTITIONED (the global table is the
 //      memory hog; partitioning bounds per-partition state).
-//   3. HASH-PARTITIONED retries with more radix bits.
+//   3. HASH-PARTITIONED retries with more radix bits (8, then +2 up to 16).
 //   4. Final fallback to SORT-BASED (lowest footprint: one transformed copy).
 //   5. A clean structured ResourceExhausted error carrying the ladder.
 //
-// Failed attempts must restore the device's live-byte watermark; a mismatch
-// is promoted to an Internal error.
+// The group-by waits out each backoff delay before it picks the next rung,
+// so a failure on the sort rung with attempts left still pays one delay.
 
 #ifndef GPUJOIN_GROUPBY_RESILIENT_H_
 #define GPUJOIN_GROUPBY_RESILIENT_H_
@@ -31,9 +34,6 @@ struct GroupByResilienceOptions {
   GroupByOptions groupby;
   /// Total attempt budget across the whole ladder (first try included).
   int max_attempts = 4;
-  /// Allow switching to a different aggregation strategy when the requested
-  /// one keeps running out of memory.
-  bool allow_algo_fallback = true;
   /// Delay schedule between ladder attempts, charged to the simulated clock
   /// (deterministic; see BackoffPolicy). max_attempts above remains the
   /// attempt budget — the policy only paces the retries.

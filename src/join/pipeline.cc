@@ -94,10 +94,8 @@ Result<PipelineRunResult> RunJoinPipeline(vgpu::Device& device, JoinAlgo algo,
           jr = std::move(run).value();
           break;
         }
-        const bool resource =
-            run.status().code() == StatusCode::kResourceExhausted ||
-            run.status().code() == StatusCode::kOutOfMemory;
-        if (!resource || !partitioned || attempt >= max_attempts) {
+        if (!run.status().IsResourceFailure() || !partitioned ||
+            attempt >= max_attempts) {
           return run.status();
         }
         const int next_bits = std::min(

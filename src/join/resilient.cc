@@ -6,44 +6,14 @@
 
 #include "join/out_of_core.h"
 #include "join/transform.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
 #include "prim/hash_join.h"
 
 namespace gpujoin::join {
 
 namespace {
 
-/// Errors the ladder may absorb; everything else propagates immediately.
-bool IsResourceFailure(const Status& st) {
-  return st.code() == StatusCode::kResourceExhausted ||
-         st.code() == StatusCode::kOutOfMemory;
-}
-
-/// Transient faults (injected kernel fault, watchdog timeout): the same
-/// work is expected to succeed on retry, so the ladder re-runs the current
-/// rung instead of escalating.
-bool IsTransientFailure(const Status& st) { return st.IsUnavailable(); }
-
 bool IsRadixPartitioned(JoinAlgo algo) {
   return algo == JoinAlgo::kPhjUm || algo == JoinAlgo::kPhjOm;
-}
-
-/// A failed attempt must roll the device back to its entry watermark; a
-/// mismatch is a leak (or double free) in the error path and is promoted to
-/// an Internal error — degrading further would hide it.
-Status VerifyCleanRollback(vgpu::Device& device, uint64_t baseline_live) {
-  const uint64_t live = device.memory_stats().live_bytes;
-  obs::MetricsRegistry::Global().CounterAdd(
-      "vgpu_leak_check_total",
-      {{"op", "join"}, {"outcome", live == baseline_live ? "clean" : "leak"}});
-  if (live != baseline_live) {
-    return Status::Internal(
-        "RunJoinResilient: failed attempt left " + std::to_string(live) +
-        " live bytes (entry watermark " + std::to_string(baseline_live) +
-        ")\n" + device.LeakReport());
-  }
-  return Status::OK();
 }
 
 /// The partition-bit count attempt 1 would use, mirroring JoinDriver's
@@ -78,185 +48,73 @@ Result<ResilientJoinResult> RunJoinResilient(vgpu::Device& device,
                                              JoinAlgo algo, const HostTable& r,
                                              const HostTable& s,
                                              const ResilienceOptions& options) {
-  if (options.max_attempts < 1) {
-    return Status::InvalidArgument("RunJoinResilient: max_attempts must be >= 1");
-  }
   if (r.columns.empty() || s.columns.empty()) {
     return Status::InvalidArgument("RunJoinResilient: tables need a key column");
   }
 
   ResilientJoinResult res;
-  obs::TraceSpan query_span(
-      device, "query", std::string("resilient_join:") + JoinAlgoName(algo));
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const uint64_t baseline_live = device.memory_stats().live_bytes;
-  const uint64_t faults0 = device.memory_stats().injected_failures;
-  // A query that completes despite injected allocation faults survived
-  // them; recorded on the success paths only.
-  const uint64_t kfaults0 =
-      device.fault_injector().injected_kernel_faults() +
-      device.watchdog_trips();
-  const auto record_survived = [&] {
-    const uint64_t absorbed =
-        device.memory_stats().injected_failures - faults0;
-    if (absorbed > 0) {
-      reg.CounterAdd("vgpu_faults_survived_total", {{"op", "join"}}, absorbed);
-    }
-    const uint64_t kernel_absorbed =
-        device.fault_injector().injected_kernel_faults() +
-        device.watchdog_trips() - kfaults0;
-    if (kernel_absorbed > 0) {
-      reg.CounterAdd("vgpu_kernel_faults_survived_total", {{"op", "join"}},
-                     kernel_absorbed);
-    }
-  };
-  const double t0 = device.ElapsedSeconds();
-  int attempt = 0;
-  int transient_retries = 0;
-  Status last_error = Status::OK();
-
-  // Transient rung, shared by every ladder level: a kUnavailable attempt
-  // unwinds cleanly, clears the device's sticky fault, waits a seeded
-  // backoff, and re-runs the SAME rung (no escalation — the work fits, the
-  // backend hiccuped). Returns true to retry; propagates the fault once
-  // the transient budget is spent so the service layer can hedge backends.
-  const auto try_absorb_transient = [&](const Status& st) -> Result<bool> {
-    if (!IsTransientFailure(st)) return false;
-    obs::TraceInstant(device, "transient_fault", st.message());
-    reg.CounterAdd("resilient_transient_faults_total", {{"op", "join"}});
-    GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-    device.ClearTransientFault();
-    ++transient_retries;
-    if (transient_retries >= options.backoff.max_attempts) {
-      return Status::Unavailable(
-          st.message() + " (attempt " + std::to_string(transient_retries) +
-          "; ladder transient-retry budget exhausted)");
-    }
-    device.AdvanceClock(options.backoff.DelayCycles(transient_retries));
-    GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-    res.degradation.push_back(
-        {"transient_retry",
-         "transient fault (" + st.message() + "); retrying same rung, retry " +
-             std::to_string(transient_retries)});
-    obs::TraceInstant(device, "degradation:transient_retry",
-                      res.degradation.back().detail);
-    reg.CounterAdd("resilient_degradations_total",
-                   {{"op", "join"}, {"action", "transient_retry"}});
-    return true;
-  };
-
-  // Rungs 1 + 2: in-memory attempts, escalating partition bits while the
-  // algorithm can use them.
-  int bits = InitialPartitionBits(device, r, options.join);
+  // In-memory rungs run with `jopts`, escalating partition bits while the
+  // algorithm can use them; the out-of-core rungs stream fragment pairs of
+  // `frag_bits`, sized to the default out-of-core device budget.
   JoinOptions jopts = options.join;
-  while (attempt < options.max_attempts) {
-    ++attempt;
-    Status st;
-    {
-      obs::TraceSpan attempt_span(device, "attempt",
-                                  "in_memory_" + std::to_string(attempt));
-      st = AttemptInMemory(device, algo, r, s, jopts, &res);
-    }
-    if (st.ok()) {
-      res.attempts = attempt;
-      res.device_seconds = device.ElapsedSeconds() - t0;
-      record_survived();
-      return res;
-    }
-    {
-      GPUJOIN_ASSIGN_OR_RETURN(const bool retry_rung, try_absorb_transient(st));
-      if (retry_rung) {
-        --attempt;  // Transient retries do not consume ladder attempts.
-        continue;
-      }
-    }
-    if (!IsResourceFailure(st)) return st;
-    obs::TraceInstant(device, "resource_failure", st.message());
-    reg.CounterAdd("resilient_resource_failures_total", {{"op", "join"}});
-    GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-    last_error = st;
+  int bits = InitialPartitionBits(device, r, options.join);
+  bool out_of_core = false;
+  int frag_bits = 0;
 
-    if (!IsRadixPartitioned(algo) || bits >= 16 ||
-        attempt >= options.max_attempts) {
-      break;  // No in-memory rung left: fall through to out-of-core.
+  LadderPolicy policy;
+  policy.fn = "RunJoinResilient";
+  policy.op = "join";
+  policy.algo = JoinAlgoName(algo);
+  policy.max_attempts = options.max_attempts;
+  policy.backoff = options.backoff;
+  policy.attempt_span = [&](int attempt) {
+    return (out_of_core ? "out_of_core_" : "in_memory_") +
+           std::to_string(attempt);
+  };
+  policy.attempt = [&]() -> Status {
+    if (!out_of_core) return AttemptInMemory(device, algo, r, s, jopts, &res);
+    OutOfCoreOptions oopts;
+    oopts.join = options.join;
+    oopts.fragment_bits = frag_bits;
+    GPUJOIN_ASSIGN_OR_RETURN(OutOfCoreRunResult oc,
+                             RunOutOfCoreJoin(device, algo, r, s, oopts));
+    res.output = std::move(oc.output);
+    res.output_rows = oc.output_rows;
+    res.used_out_of_core = true;
+    return Status::OK();
+  };
+  policy.escalate = [&](const Status& error,
+                        int attempt) -> std::optional<LadderRung> {
+    if (!out_of_core && IsRadixPartitioned(algo) && bits < 16) {
+      bits = std::min(bits + 2, 16);
+      jopts.radix_bits_override = bits;
+      return LadderRung{{"retry_more_partition_bits",
+                         "attempt " + std::to_string(attempt) + " failed (" +
+                             error.message() +
+                             "); retrying in-memory with radix_bits=" +
+                             std::to_string(bits)}};
     }
-    bits = std::min(bits + 2, 16);
-    jopts.radix_bits_override = bits;
-    device.AdvanceClock(options.backoff.DelayCycles(attempt));
-    res.degradation.push_back(
-        {"retry_more_partition_bits",
-         "attempt " + std::to_string(attempt) + " failed (" + st.message() +
-             "); retrying in-memory with radix_bits=" + std::to_string(bits)});
-    obs::TraceInstant(device, "degradation:retry_more_partition_bits",
-                      res.degradation.back().detail);
-    reg.CounterAdd("resilient_degradations_total",
-                   {{"op", "join"}, {"action", "retry_more_partition_bits"}});
-    GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-  }
-
-  // Rung 3: out-of-core fallback with escalating fragment counts.
-  if (options.allow_out_of_core) {
-    int frag_bits =
-        DeriveFragmentBits(device, r, s, options.device_budget_fraction);
-    while (attempt < options.max_attempts) {
-      if (attempt > 0) {
-        device.AdvanceClock(options.backoff.DelayCycles(attempt));
-        GPUJOIN_RETURN_IF_ERROR(obs::CheckLifecycle(device));
-      }
-      ++attempt;
-      res.degradation.push_back(
-          {"out_of_core_fallback",
-           "in-memory failed (" + last_error.message() +
-               "); streaming fragment pairs with fragment_bits=" +
-               std::to_string(frag_bits)});
-      obs::TraceInstant(device, "degradation:out_of_core_fallback",
-                        res.degradation.back().detail);
-      reg.CounterAdd("resilient_degradations_total",
-                     {{"op", "join"}, {"action", "out_of_core_fallback"}});
-      OutOfCoreOptions oopts;
-      oopts.join = options.join;
-      oopts.fragment_bits = frag_bits;
-      oopts.device_budget_fraction = options.device_budget_fraction;
-      Result<OutOfCoreRunResult> oc = Status::Internal("unset");
-      {
-        obs::TraceSpan attempt_span(device, "attempt",
-                                    "out_of_core_" + std::to_string(attempt));
-        oc = RunOutOfCoreJoin(device, algo, r, s, oopts);
-      }
-      if (oc.ok()) {
-        res.output = std::move(oc->output);
-        res.output_rows = oc->output_rows;
-        res.attempts = attempt;
-        res.used_out_of_core = true;
-        res.device_seconds = device.ElapsedSeconds() - t0;
-        record_survived();
-        return res;
-      }
-      {
-        GPUJOIN_ASSIGN_OR_RETURN(const bool retry_rung,
-                                 try_absorb_transient(oc.status()));
-        if (retry_rung) {
-          --attempt;  // Re-run the same fragment count.
-          continue;
-        }
-      }
-      if (!IsResourceFailure(oc.status())) return oc.status();
-      reg.CounterAdd("resilient_resource_failures_total", {{"op", "join"}});
-      GPUJOIN_RETURN_IF_ERROR(VerifyCleanRollback(device, baseline_live));
-      last_error = oc.status();
-      if (frag_bits >= 20) break;  // Fragmentation limit reached.
+    if (!out_of_core) {
+      out_of_core = true;
+      frag_bits = DeriveFragmentBits(device, r, s,
+                                     OutOfCoreOptions().device_budget_fraction);
+    } else if (frag_bits >= 20) {
+      return std::nullopt;  // Fragmentation limit reached.
+    } else {
       frag_bits = std::min(frag_bits + 2, 20);
     }
-  }
+    return LadderRung{{"out_of_core_fallback",
+                       "in-memory failed (" + error.message() +
+                           "); streaming fragment pairs with fragment_bits=" +
+                           std::to_string(frag_bits)},
+                      /*announce_each_attempt=*/true};
+  };
 
-  // Rung 4: clean structured error carrying the ladder.
-  return Status::ResourceExhausted(
-      "RunJoinResilient: " + std::string(JoinAlgoName(algo)) + " failed after " +
-      std::to_string(attempt) + " attempt(s); last error: " +
-      last_error.message() +
-      (res.degradation.empty()
-           ? std::string("; no degradation rung applicable")
-           : "\ndegradation ladder:\n" + FormatDegradation(res.degradation)));
+  GPUJOIN_ASSIGN_OR_RETURN(LadderOutcome ladder,
+                           RunDegradationLadder(device, policy));
+  res.attempts = ladder.attempts;
+  res.degradation = std::move(ladder.degradation);
+  return res;
 }
 
 }  // namespace gpujoin::join

@@ -1,17 +1,22 @@
 // Resilient join execution: RunJoinResilient wraps RunJoin with a
 // degradation ladder so a device-resident OOM (real or injected) degrades a
-// query instead of failing it outright:
+// query instead of failing it outright. This file holds only the ladder's
+// policy; the shared driver in common/resilience.h owns the mechanics
+// (transient retries, rollback leak checks, backoff, lifecycle seams, step
+// recording, and the final structured error). The rungs:
 //
 //   1. In-memory attempt with the caller's options.
-//   2. For the radix-partitioned implementations, bounded retries with more
-//      partition bits (smaller per-partition working state).
-//   3. Out-of-core fallback: host-side radix fragmentation with derived
-//      fragment_bits, escalated on repeated failure.
+//   2. For the radix-partitioned implementations, retries with two more
+//      partition bits each (up to 16): smaller per-partition working state.
+//   3. Out-of-core fallback: host-side radix fragmentation, fragment_bits
+//      derived from a 0.2 device-memory budget and raised by 2 (up to 20)
+//      on each failure. One out_of_core_fallback step is recorded before
+//      every out-of-core attempt, transient retries included.
 //   4. A clean structured ResourceExhausted error carrying the full
 //      degradation log.
 //
 // Every failed attempt must leave the device exactly as it found it: the
-// wrapper verifies the live-byte watermark after each failure and turns a
+// driver verifies the live-byte watermark after each failure and turns a
 // leak into an Internal error (the leak-audit contract of vgpu::Device).
 
 #ifndef GPUJOIN_JOIN_RESILIENT_H_
@@ -34,10 +39,6 @@ struct ResilienceOptions {
   JoinOptions join;
   /// Total attempt budget across the whole ladder (first try included).
   int max_attempts = 4;
-  /// Rung 3: fall back to RunOutOfCoreJoin when in-memory attempts fail.
-  bool allow_out_of_core = true;
-  /// Device-memory budget fraction for the out-of-core fallback.
-  double device_budget_fraction = 0.2;
   /// Delay schedule between ladder attempts, charged to the simulated clock
   /// (deterministic; see BackoffPolicy). max_attempts above remains the
   /// attempt budget — the policy only paces the retries.
@@ -52,8 +53,6 @@ struct ResilientJoinResult {
   bool used_out_of_core = false;
   /// One entry per ladder step taken; empty on a clean first-attempt run.
   std::vector<DegradationStep> degradation;
-  /// Simulated device seconds across all attempts (failed ones included).
-  double device_seconds = 0;
 };
 
 /// Joins host tables r and s (keys in column 0), degrading along the ladder

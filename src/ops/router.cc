@@ -220,9 +220,7 @@ Result<OperatorRunResult> Router::RunRouted(const RouteDecision& decision,
     return first;
   }
   const Status& st = first.status();
-  const bool resource = st.IsResourceExhausted() ||
-                        st.code() == StatusCode::kOutOfMemory;
-  if (!options_.allow_fallback || !resource) {
+  if (!options_.allow_fallback || !st.IsResourceFailure()) {
     record_op(decision.backend, nullptr);
     return first;
   }

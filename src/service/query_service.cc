@@ -31,17 +31,6 @@ void AppendColumns(HostTable& into, const HostTable& part) {
   }
 }
 
-/// Whether the cpux engines can run this table at all (integer-only, row
-/// ids fit 32 bits) — the hedge guard for forced-backend requests. The
-/// router applies the same guard internally on the kAuto path.
-bool CpuxCanRun(const HostTable* t) {
-  if (t == nullptr) return true;
-  for (const HostColumn& col : t->columns) {
-    if (col.is_string()) return false;
-  }
-  return t->num_rows() < uint64_t{0xFFFFFFFF};
-}
-
 }  // namespace
 
 const char* AdmissionDecisionName(AdmissionDecision d) {
@@ -408,39 +397,15 @@ ops::CpuxProvider& QueryService::Cpux() {
 bool QueryService::ResolveUseCpux(const QueryRequest& request,
                                   const FragmentUnit& unit,
                                   std::string* label) {
+  // Per-fragment route: a pure function of tuple counts, the device config,
+  // and breaker state driven by the simulated clock — so replays and every
+  // GPUJOIN_SIM_THREADS setting pick the same backend. A forced backend
+  // still hedges off an open breaker (pinning a fragment to a quarantined
+  // backend would just burn its transient retry budget), and the router's
+  // eligibility guard still binds (strings stay on vgpu).
   const double now = device_.elapsed_cycles();
-  // Hedge-decision double entry: metered here, once per hedged resolution;
-  // the executing side meters service_hedged_fragments_total once per
-  // hedged turn. The two totals reconcile after every Drain.
-  const auto record_hedge = [&](ops::Backend to) {
-    obs::MetricsRegistry::Global().CounterAdd(
-        "service_hedge_decisions_total", {{"to", ops::BackendName(to)}});
-  };
-  const ops::Backend want = request.backend.value_or(default_backend_);
-  if (want != ops::Backend::kAuto) {
-    // A forced backend still hedges off an open breaker: pinning a
-    // fragment to a quarantined backend would just burn its transient
-    // retry budget. Eligibility still binds (strings stay on vgpu).
-    const ops::Backend other = want == ops::Backend::kCpux
-                                   ? ops::Backend::kVgpu
-                                   : ops::Backend::kCpux;
-    const bool other_viable =
-        other == ops::Backend::kVgpu ||
-        (CpuxCanRun(unit.r) &&
-         (request.kind != QueryKind::kJoin || CpuxCanRun(unit.s)));
-    if (health_.Quarantined(want, now) && other_viable &&
-        !health_.Quarantined(other, now)) {
-      *label = std::string("hedge:") + ops::BackendName(other);
-      record_hedge(other);
-      return other == ops::Backend::kCpux;
-    }
-    *label = ops::BackendName(want);
-    return want == ops::Backend::kCpux;
-  }
-  // Cost-based route per fragment unit: pure function of tuple counts, the
-  // device config, and breaker state driven by the simulated clock — so
-  // replays and every GPUJOIN_SIM_THREADS setting pick the same backend.
   ops::RouterOptions ropts;
+  ropts.force = request.backend.value_or(default_backend_);
   ropts.cpux_threads = cpux_threads_;
   ropts.quarantined = [this, now](ops::Backend b) {
     return health_.Quarantined(b, now);
@@ -461,11 +426,19 @@ bool QueryService::ResolveUseCpux(const QueryRequest& request,
     op.input = unit.r;
     decision = ops::RouteGroupBy(op, device_.config(), ropts);
   }
-  if (decision.reason == "quarantined") {
-    *label = std::string("hedge:") + ops::BackendName(decision.backend);
-    record_hedge(decision.backend);
+  const char* backend = ops::BackendName(decision.backend);
+  if (decision.reason == "forced") {
+    *label = backend;
+  } else if (decision.reason == "quarantined") {
+    // Hedge-decision double entry: metered here, once per hedged
+    // resolution; the executing side meters
+    // service_hedged_fragments_total once per hedged turn. The two totals
+    // reconcile after every Drain.
+    *label = std::string("hedge:") + backend;
+    obs::MetricsRegistry::Global().CounterAdd("service_hedge_decisions_total",
+                                              {{"to", backend}});
   } else {
-    *label = std::string("auto:") + ops::BackendName(decision.backend);
+    *label = std::string("auto:") + backend;
   }
   return decision.backend == ops::Backend::kCpux;
 }
@@ -505,8 +478,7 @@ Status QueryService::RunUnit(Run& run, bool use_cpux,
       part = std::move(rr->output);
       part_rows = rr->output_rows;
       ran_on_cpux = true;
-    } else if (rr.status().code() == StatusCode::kResourceExhausted ||
-               rr.status().code() == StatusCode::kOutOfMemory) {
+    } else if (rr.status().IsResourceFailure()) {
       obs::TraceInstant(device_, "backend_fallback",
                         "query '" + out.name + "' fragment " +
                             std::to_string(run.next_unit) +

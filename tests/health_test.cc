@@ -348,6 +348,47 @@ TEST(ServiceTransientTest, BreakerTripHedgesFragmentsToCpux) {
   ASSERT_OK(device.CheckNoLeaks());
 }
 
+// The hedge never overrides eligibility: cpux cannot run string columns,
+// so a fragment forced to vgpu stays there with the vgpu breaker open, no
+// hedge is counted, and the service's own retry limit ends the query.
+TEST(ServiceTransientTest, ForcedBackendDoesNotHedgeStringsToCpux) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const obs::MetricsSnapshot before = reg.Snapshot();
+
+  vgpu::Device device = MakeTestDevice();
+  ServiceOptions opts;
+  opts.breaker.trip_threshold = 2;
+  opts.breaker.probe_after_cycles = 1e12;
+  opts.transient_retry_limit = 4;
+  QueryService service(device, opts);
+  workload::JoinWorkload w = SmallJoinWorkload(23);
+  w.s.columns.push_back(
+      HostColumn{"tag", DataType::kInt64, {},
+                 std::vector<std::string>(w.s.num_rows(), "x")});
+
+  device.set_fault_injector(
+      vgpu::FaultInjector::FailKernelWithProbability(1.0, /*seed=*/5));
+  QueryRequest req = JoinRequest(w, "strings");
+  req.backend = ops::Backend::kVgpu;
+  ASSERT_OK_AND_ASSIGN(int id, service.Submit(req));
+  ASSERT_OK(service.Drain());
+  device.clear_fault_injector();
+  device.ClearTransientFault();
+
+  const QueryOutcome& out = service.outcome(id);
+  ASSERT_TRUE(out.status.IsUnavailable()) << out.status.ToString();
+  EXPECT_EQ(out.backend, "vgpu");
+  EXPECT_EQ(out.hedged_fragments, 0);
+  EXPECT_EQ(service.health().trips(), 1u);
+  EXPECT_EQ(service.health().StateOf(ops::Backend::kVgpu, "kernel_fault"),
+            BreakerState::kOpen);
+  const obs::MetricsSnapshot delta = reg.Snapshot().Delta(before);
+  EXPECT_EQ(delta.CounterTotal("service_hedge_decisions_total"), 0u);
+  EXPECT_EQ(delta.CounterTotal("service_hedged_fragments_total"), 0u);
+  EXPECT_EQ(service.reserved_bytes(), 0u);
+  ASSERT_OK(device.CheckNoLeaks());
+}
+
 TEST(ServiceTransientTest, HalfOpenProbeReAdmitsARecoveredBackend) {
   vgpu::Device device = MakeTestDevice();
   ServiceOptions opts;

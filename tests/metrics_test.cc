@@ -99,7 +99,8 @@ TEST(RegistryTest, GaugeMaxKeepsHighWatermark) {
   reg.GaugeMax("peak", {}, 4);
   reg.GaugeMax("peak", {}, 12);
   reg.GaugeMax("peak", {}, 11);
-  const MetricCell* cell = reg.Snapshot().Find("peak");
+  const MetricsSnapshot snap = reg.Snapshot();
+  const MetricCell* cell = snap.Find("peak");
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->gauge, 12.0);
   reg.Clear();

@@ -48,6 +48,10 @@ TEST(StatusTest, LifecyclePredicates) {
   EXPECT_FALSE(Status::OK().IsLifecycleStop());
   EXPECT_FALSE(Status::ResourceExhausted("oom").IsLifecycleStop());
   EXPECT_TRUE(Status::ResourceExhausted("oom").IsResourceExhausted());
+  // Both capacity codes are resource failures a ladder may degrade on.
+  EXPECT_TRUE(Status::ResourceExhausted("oom").IsResourceFailure());
+  EXPECT_TRUE(Status::OutOfMemory("oom").IsResourceFailure());
+  EXPECT_FALSE(cancelled.IsResourceFailure());
 }
 
 TEST(StatusTest, SchedulerStatuses) {
@@ -62,6 +66,7 @@ TEST(StatusTest, SchedulerStatuses) {
   const Status over = Status::TenantOverQuota("capped");
   EXPECT_TRUE(over.IsTenantOverQuota());
   EXPECT_FALSE(over.IsResourceExhausted());
+  EXPECT_FALSE(over.IsResourceFailure());
   EXPECT_FALSE(over.IsLifecycleStop());
 }
 
@@ -76,6 +81,7 @@ TEST(StatusTest, UnavailableIsRetryableNotALifecycleStop) {
   // Retryable: distinct from OOM/ResourceExhausted (the work fits, the
   // backend hiccuped) and from the deliberate lifecycle stops.
   EXPECT_FALSE(s.IsResourceExhausted());
+  EXPECT_FALSE(s.IsResourceFailure());
   EXPECT_FALSE(s.IsLifecycleStop());
   EXPECT_FALSE(s.IsYielded());
   EXPECT_FALSE(Status::OK().IsUnavailable());
